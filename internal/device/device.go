@@ -583,7 +583,7 @@ func (d *Device) cancelFlow(f *flow, id int64) bool {
 // start+latency instead of sleeping the process just to issue the flow
 // and park again — the issue event occupies exactly the queue slot
 // Sleep's resume event occupied, so the simulation stays byte-identical
-// while each transfer saves a full goroutine round-trip. Cancellable
+// while each transfer saves a full process round trip. Cancellable
 // (token-carrying) transfers keep the slow path in transfer: a
 // latency-phase cancel must resume user code at that queue slot, which
 // only the process itself can do.

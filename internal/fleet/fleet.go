@@ -26,10 +26,13 @@
 // contract: same-seed runs are byte-identical at any -parallel width.
 //
 // A node killed mid-run abandons its engine wholesale: session steps
-// parked mid-transfer on its devices are never resumed (their goroutines
-// leak until process exit, bounded by kills × sessions-per-node), and a
-// revived node is rebuilt from scratch with an empty L2 — exactly the
-// semantics of losing the machine.
+// parked mid-transfer on its devices are never resumed (their coroutines,
+// and the engine they pin, stay parked until process exit, bounded by
+// kills × steps in flight per node), and a revived node is rebuilt from
+// scratch with an empty L2 — exactly the semantics of losing the
+// machine. Steps still in flight when the last epoch ends stay parked
+// the same way; every other step proc has finished by then and holds no
+// coroutine.
 package fleet
 
 import (
@@ -209,12 +212,8 @@ type node struct {
 	killUntil float64
 
 	// measured mirrors the current epoch's measured flag (published at
-	// the barrier, read by step procs inside the window); draining tells
-	// parked step procs to exit at end of run; procs tracks every step
-	// proc spawned on this node's engine so the drain can wake them.
+	// the barrier, read by step procs at step start inside the window).
 	measured bool
-	draining bool
-	procs    []*sim.Proc
 
 	// per-epoch accumulators; reset at each barrier. Written only from
 	// this node's engine context (the parallel window) or the barrier.
@@ -360,11 +359,10 @@ func (nd *node) predictFrac(nodeBW float64) float64 {
 }
 
 // Run executes the configured epochs and returns the report. Single
-// use: a finished cluster holds drained engines.
+// use: a finished cluster's engines stop at the last epoch's end.
 func (c *Cluster) Run() (*Report, error) {
 	cfg := c.cfg
 	nodeBW := cfg.Store.NodeBandwidth
-	lastEnd := 0.0
 	for e := 0; e < cfg.Epochs; e++ {
 		t0 := float64(e) * cfg.EpochSec
 		end := t0 + cfg.EpochSec
@@ -401,37 +399,8 @@ func (c *Cluster) Run() (*Report, error) {
 
 		// ---- barrier: harvest, node-index order ----
 		c.harvest(e)
-		lastEnd = end
-	}
-	if err := c.drainProcs(lastEnd); err != nil {
-		return nil, err
 	}
 	return c.report(), nil
-}
-
-// drainProcs wakes every parked step proc on the alive nodes so its
-// goroutine exits: without persistent procs the goroutine count equalled
-// steps and self-drained; with them it equals sessions and needs this
-// farewell wake. Procs mid-transfer past the final epoch either no-op
-// the Wake (awaiting a resume already committed) or re-park in the
-// transfer's suspend loop when woken (the flow never completes) — the
-// same bounded leak the seed had for overrunning steps (and for killed
-// nodes' engines).
-func (c *Cluster) drainProcs(end float64) error {
-	for _, nd := range c.nodes {
-		if !nd.alive || len(nd.procs) == 0 {
-			continue
-		}
-		nd.draining = true
-		eng := nd.cn.Engine()
-		for _, p := range nd.procs {
-			eng.Wake(p)
-		}
-		if err := eng.Run(end); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // applyPlan interprets the fault plan at the barrier opening epoch e:
@@ -556,15 +525,15 @@ func (c *Cluster) attach(nd *node, s *session) {
 	}
 	nd.sessions = append(nd.sessions, s)
 	nd.load += s.cost
-	// Rebind the persistent step machinery to this node: scheduleSteps
-	// spawns the proc directly at its first step instant and wakes it at
-	// each later one, inserting exactly one resume event per step at the
-	// arm instant — the queue slot the old Spawn-per-step pattern's arm
-	// event occupied, which is the byte-identity contract with it. A proc
-	// left parked on a previous node stays there until that node drains.
+	// Rebind the step machinery to this node: scheduleSteps spawns the
+	// proc directly at its first step instant and restarts it at each
+	// later one, inserting exactly one event per step at the arm instant
+	// — the queue slot the old Spawn-per-step pattern's arm event
+	// occupied, which is the byte-identity contract with it. measured is
+	// read at step start, inside the epoch that armed the step.
 	epochSec := c.cfg.EpochSec
 	s.proc = nil
-	s.stepFn = func(p *sim.Proc) { nd.runSession(p, s, epochSec) }
+	s.stepFn = func(p *sim.Proc) { nd.step(p, s, epochSec, nd.measured) }
 }
 
 // detach unbinds a session from its current node (planned migrations
@@ -586,9 +555,8 @@ func (c *Cluster) detach(nd *node, s *session) {
 	nd.load -= s.cost
 	s.node = -1
 	s.cg = nil
-	// The parked proc (and its step closure) belong to the old node's
-	// engine; attach on the destination rebuilds them. The old proc exits
-	// at that node's drain.
+	// The finished proc (and its step closure) belong to the old node's
+	// engine; attach on the destination rebuilds them.
 	s.proc = nil
 	s.stepFn = nil
 }

@@ -324,6 +324,9 @@ func (b *graphBuilder) walkBody(n *FuncNode) {
 		return true
 	})
 
+	// Selected names (the M of x.M) belong to their selector: x.M() is a
+	// call edge and x.M a ref edge, never a second ref from the Ident.
+	selNames := map[*ast.Ident]bool{}
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		switch e := m.(type) {
 		case *ast.CallExpr:
@@ -336,13 +339,14 @@ func (b *graphBuilder) walkBody(n *FuncNode) {
 				b.registerAddrTaken(sigKey(sig), n)
 			}
 		case *ast.Ident:
-			if calleeHeads[e] {
+			if calleeHeads[e] || selNames[e] {
 				return true
 			}
 			if fn, ok := info.Uses[e].(*types.Func); ok {
 				b.addRef(n, fn, e.Pos())
 			}
 		case *ast.SelectorExpr:
+			selNames[e.Sel] = true
 			if calleeHeads[e] {
 				return true
 			}

@@ -35,9 +35,11 @@ import (
 //     cost amortizes to zero.
 //
 // Arguments of panic calls are exempt — a panicking path is already
-// off the budget. make and new are deliberately not flagged: the
-// freelist idiom allocates once at miss time by design; the analyzer
-// polices per-event constructs, not pool refills.
+// off the budget — and so is the body of an
+// `if r := recover(); r != nil` branch, which runs once per failure.
+// make and new are deliberately not flagged: the freelist idiom
+// allocates once at miss time by design; the analyzer polices
+// per-event constructs, not pool refills.
 const hotpathDirective = "//tango:hotpath"
 
 func runHotPath(prog *Program, cfg *config, report progReportFunc) {
@@ -86,18 +88,19 @@ type hotScan struct {
 	chain  []string
 	report reportFunc
 
-	panicSpans [][2]token.Pos
-	immediate  map[*ast.FuncLit]bool
-	capEvid    map[types.Object]bool
+	coldSpans [][2]token.Pos // panic arguments and recovered-panic branches
+	immediate map[*ast.FuncLit]bool
+	capEvid   map[types.Object]bool
 }
 
 func (h *hotScan) scan() {
 	body := h.n.Decl.Body
 	info := h.n.Pkg.Info
 
-	// Pre-passes: panic-argument spans (exempt), immediately-invoked
-	// literals (shared budget, descend), and capacity evidence for local
-	// slices (make with cap, or a reslice) anywhere in the function.
+	// Pre-passes: cold spans (panic arguments and recover branches,
+	// exempt), immediately-invoked literals (shared budget, descend), and
+	// capacity evidence for local slices (make with cap, or a reslice)
+	// anywhere in the function.
 	h.immediate = map[*ast.FuncLit]bool{}
 	h.capEvid = map[types.Object]bool{}
 	ast.Inspect(body, func(m ast.Node) bool {
@@ -108,8 +111,12 @@ func (h *hotScan) scan() {
 			}
 			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "panic" {
 				if _, isBuiltin := info.ObjectOf(id).(*types.Builtin); isBuiltin && len(s.Args) == 1 {
-					h.panicSpans = append(h.panicSpans, [2]token.Pos{s.Args[0].Pos(), s.Args[0].End()})
+					h.coldSpans = append(h.coldSpans, [2]token.Pos{s.Args[0].Pos(), s.Args[0].End()})
 				}
+			}
+		case *ast.IfStmt:
+			if recoverBranch(info, s) {
+				h.coldSpans = append(h.coldSpans, [2]token.Pos{s.Body.Pos(), s.Body.End()})
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range s.Rhs {
@@ -357,8 +364,38 @@ func isString(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
+// recoverBranch reports whether s is `if r := recover(); r != nil { … }`.
+func recoverBranch(info *types.Info, s *ast.IfStmt) bool {
+	init, ok := s.Init.(*ast.AssignStmt)
+	if !ok || len(init.Lhs) != 1 || len(init.Rhs) != 1 {
+		return false
+	}
+	call, ok := init.Rhs[0].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := call.Fun.(*ast.Ident)
+	if !ok || fn.Name != "recover" {
+		return false
+	}
+	if _, isBuiltin := info.ObjectOf(fn).(*types.Builtin); !isBuiltin {
+		return false
+	}
+	r, ok := init.Lhs[0].(*ast.Ident)
+	if !ok {
+		return false
+	}
+	cond, ok := s.Cond.(*ast.BinaryExpr)
+	if !ok || cond.Op != token.NEQ {
+		return false
+	}
+	x, ok := cond.X.(*ast.Ident)
+	y, okY := cond.Y.(*ast.Ident)
+	return ok && okY && info.ObjectOf(x) == info.ObjectOf(r) && y.Name == "nil"
+}
+
 func (h *hotScan) exempt(pos token.Pos) bool {
-	for _, s := range h.panicSpans {
+	for _, s := range h.coldSpans {
 		if pos >= s[0] && pos < s[1] {
 			return true
 		}

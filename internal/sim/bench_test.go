@@ -45,8 +45,8 @@ func BenchmarkTimerStop(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSleepLoop measures the process round trip: one goroutine
-// sleeping in a tight virtual-time loop (two channel handoffs plus one
+// BenchmarkProcSleepLoop measures the process round trip: one process
+// sleeping in a tight virtual-time loop (two coroutine switches plus one
 // event per iteration).
 func BenchmarkProcSleepLoop(b *testing.B) {
 	b.ReportAllocs()
@@ -59,5 +59,20 @@ func BenchmarkProcSleepLoop(b *testing.B) {
 	})
 	if err := e.RunAll(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcSpawn measures a short process's whole life on a warm
+// worker pool: spawn, one sleep, finish. The Proc struct is the only
+// allocation.
+func BenchmarkProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	body := func(p *Proc) { p.Sleep(1) }
+	for i := 0; i < b.N; i++ {
+		e.Spawn("p", body)
+		if err := e.Run(e.Now() + 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,15 +11,17 @@ import (
 // Engine methods must only be called from the goroutine that owns the
 // engine (the one calling Run) or from within a simulated process or event
 // callback; the engine is not safe for concurrent use from unrelated
-// goroutines. Independent engines are fully isolated and may run on
-// separate goroutines in parallel (this is how multi-node weak scaling is
-// simulated).
+// goroutines. Successive Run calls may come from different goroutines, as
+// long as each starts after the previous one returned. Independent engines
+// are fully isolated and may run on separate goroutines in parallel (this
+// is how multi-node weak scaling is simulated).
 type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
 	free   []*event // recycled event structs; bounds steady-state allocation
 	procs  int      // live (not yet finished) processes
+	pool   *workerPool
 	err    error
 	trace  func(t float64, msg string)
 }
@@ -76,7 +78,8 @@ func (e *Engine) recycle(ev *event) {
 // hot path that would otherwise build a fresh closure per scheduling (to
 // carry per-object state into the event) instead implements Fire on the
 // state object itself and passes its pointer — boxing a pointer into the
-// interface does not allocate. See Device's flow-issue events.
+// interface does not allocate. See Device's flow-issue events and
+// process resumes (Proc implements Callback).
 type Callback interface {
 	Fire()
 }

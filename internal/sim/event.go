@@ -3,11 +3,13 @@
 // cgroup controllers, interfering workloads, and data analytics of this
 // repository run in virtual time.
 //
-// The engine follows the SimPy coroutine model: each simulated process is a
-// goroutine that is parked and resumed by a single scheduler goroutine, so
-// at any instant exactly one goroutine (either the engine or one process)
-// is running. All simulation state is therefore serialized without locks,
-// and runs are bit-deterministic for a given seed and spawn order.
+// The engine follows the SimPy coroutine model: each simulated process runs
+// on a coroutine (iter.Pull) that the engine resumes from an event callback
+// and that yields back when the process blocks, so at any instant exactly
+// one of the engine and its processes is running. All simulation state is
+// therefore serialized without locks, and runs are bit-deterministic for a
+// given seed and spawn order. Coroutines come from a per-engine pool: a
+// process takes one at its first resume and returns it when it finishes.
 package sim
 
 // event is a scheduled callback. Events fire in (time, seq) order; seq is a

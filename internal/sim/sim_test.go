@@ -200,6 +200,10 @@ func TestWakeFinishedProcIsNoop(t *testing.T) {
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
+	e.Wake(done)
+	if e.Pending() != 0 || e.LiveProcs() != 0 {
+		t.Fatalf("Wake on a finished process: %d pending events, %d live", e.Pending(), e.LiveProcs())
+	}
 }
 
 func TestProcPanicSurfacesAsError(t *testing.T) {
