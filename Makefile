@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check clean
+.PHONY: all build vet lint lint-json race test check loc clean
 
 all: build
 
@@ -31,6 +31,10 @@ test:
 	$(GO) test ./...
 
 check: build vet lint race
+
+# Code-size metric: non-test Go lines and package count (see ROADMAP.md).
+loc:
+	bash scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

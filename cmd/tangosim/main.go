@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -42,6 +43,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkFlags(*noise, *bound, *dataset); err != nil {
+		fmt.Fprintln(os.Stderr, "tangosim:", err)
+		os.Exit(2)
+	}
 	mode, err := cliutil.ParseControl(*control)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tangosim:", err)
@@ -209,9 +214,10 @@ func main() {
 			st.Step, st.Start, st.IOTime, st.Bytes/(1024*1024),
 			st.Predicted/(1024*1024), st.Degree, len(st.Buckets))
 	}
-	sum := sess.Summary(30)
-	fmt.Printf("\nsummary (steps 30+): mean I/O %.3fs  std %.3fs  min %.3fs  max %.3fs  mean %.1f MB/step\n",
-		sum.MeanIO, sum.StdIO, sum.MinIO, sum.MaxIO, sum.MeanBytes/(1024*1024))
+	from := summaryFrom(*steps)
+	sum := sess.Summary(from)
+	fmt.Printf("\nsummary (steps %d+): mean I/O %.3fs  std %.3fs  min %.3fs  max %.3fs  mean %.1f MB/step\n",
+		from, sum.MeanIO, sum.StdIO, sum.MinIO, sum.MaxIO, sum.MeanBytes/(1024*1024))
 	if c := sess.Cache(); c != nil {
 		cs := c.Stats()
 		fmt.Printf("cache: %d hits / %d misses, %.1f MB served fast, %.1f MB staged, %.1f MB evicted, %.0f/%.0f MB used\n",
@@ -249,6 +255,26 @@ func main() {
 		}
 	}
 }
+
+// checkFlags rejects flag values the run would otherwise accept
+// silently: a negative or NaN bound (which ran without error control),
+// a noise count outside the Table IV set, and a non-positive dataset.
+func checkFlags(noise int, bound, dataset float64) error {
+	if noise < 0 || noise > 6 {
+		return fmt.Errorf("-noise %d out of range 0-6", noise)
+	}
+	if !(bound >= 0) || math.IsInf(bound, 0) {
+		return fmt.Errorf("-bound %v: want 0 (no error control) or a positive ladder bound", bound)
+	}
+	if !(dataset > 0) || math.IsInf(dataset, 0) {
+		return fmt.Errorf("-dataset %v: want a positive size in MB", dataset)
+	}
+	return nil
+}
+
+// summaryFrom is the first step the summary covers: the estimator's
+// 30-step warm-up, or the second half of a shorter run.
+func summaryFrom(steps int) int { return min(30, steps/2) }
 
 // runFleet is tangosim's cluster mode (-nodes / -objstore): an N-node
 // fleet of single-node stacks over a shared object store, with optional

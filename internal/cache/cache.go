@@ -36,33 +36,6 @@ type Config struct {
 	// runtime if the device fills up — the cache never displaces staged
 	// data.
 	CapacityMB int
-	// ChunkMB is the transfer granularity of prefetch staging and the
-	// trim granularity of eviction (default 32). Smaller chunks abort
-	// faster when interference returns mid-transfer.
-	ChunkMB int
-	// ReuseDecay is the EWMA factor folding each step's observed request
-	// fraction into a run's expected-reuse score (default 0.3).
-	ReuseDecay float64
-
-	// Interval is the prefetcher's tick period in virtual seconds
-	// (default 15: four decision points per default 60 s analytics step).
-	Interval float64
-	// LowWaterFrac gates prefetching to predicted quiet windows: the
-	// prefetcher stages only while the forecast bandwidth is at least
-	// this fraction of the model's peak (default 0.75).
-	LowWaterFrac float64
-	// PauseFrac pauses staging when the observed capacity-tier bandwidth
-	// drops below this fraction of the forecast — the forecast is wrong,
-	// so the quiet window cannot be trusted (default 0.9).
-	PauseFrac float64
-	// BpsLimitMB caps the background flow's read and write byte rate
-	// (blkio.throttle) in MB/s (default 32). Together with the
-	// floor-pinned weight this keeps the prefetch flow from degrading
-	// foreground bandwidth.
-	BpsLimitMB int
-	// Lookahead is how many future steps of planned cursors the
-	// prefetch target covers (default 2).
-	Lookahead int
 
 	// Trace, when non-nil, receives cache hit/miss/evict and prefetch
 	// events; Source labels them (the session name).
@@ -70,30 +43,35 @@ type Config struct {
 	Source string
 }
 
+// Cache and prefetcher geometry.
+const (
+	// chunkMB is the transfer granularity of prefetch staging and the
+	// trim granularity of eviction. Smaller chunks abort faster when
+	// interference returns mid-transfer.
+	chunkMB = 32
+	// reuseDecay is the EWMA factor folding each step's observed request
+	// fraction into a run's expected-reuse score.
+	reuseDecay = 0.3
+	// prefetchInterval is the prefetcher's tick period in virtual
+	// seconds: four decision points per default 60 s analytics step.
+	prefetchInterval = 15
+	// lowWaterFrac gates prefetching to predicted quiet windows: the
+	// prefetcher stages only while the forecast bandwidth is at least
+	// this fraction of the model's peak.
+	lowWaterFrac = 0.75
+	// pauseFrac pauses staging when the observed capacity-tier bandwidth
+	// drops below this fraction of the forecast — the forecast is wrong,
+	// so the quiet window cannot be trusted.
+	pauseFrac = 0.9
+	// bpsLimitMB caps the background flow's read and write byte rate
+	// (blkio.throttle) in MB/s. Together with the floor-pinned weight
+	// this keeps the prefetch flow from degrading foreground bandwidth.
+	bpsLimitMB = 32
+)
+
 func (c Config) withDefaults() Config {
 	if c.CapacityMB == 0 {
 		c.CapacityMB = 512
-	}
-	if c.ChunkMB == 0 {
-		c.ChunkMB = 32
-	}
-	if c.ReuseDecay == 0 {
-		c.ReuseDecay = 0.3
-	}
-	if c.Interval == 0 {
-		c.Interval = 15
-	}
-	if c.LowWaterFrac == 0 {
-		c.LowWaterFrac = 0.75
-	}
-	if c.PauseFrac == 0 {
-		c.PauseFrac = 0.9
-	}
-	if c.BpsLimitMB == 0 {
-		c.BpsLimitMB = 32
-	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 2
 	}
 	if c.Source == "" {
 		c.Source = "cache"
@@ -279,7 +257,7 @@ func (c *Cache) EndStep() {
 		if req > 1 {
 			req = 1
 		}
-		r.reuse = (1-c.cfg.ReuseDecay)*r.reuse + c.cfg.ReuseDecay*req
+		r.reuse = (1-reuseDecay)*r.reuse + reuseDecay*req
 		r.reqEntries = 0
 	}
 }
@@ -315,7 +293,7 @@ func (c *Cache) chunkEntries(r *run) int {
 	if avg <= 0 {
 		return r.total
 	}
-	n := int(float64(c.cfg.ChunkMB) * device.MB / avg)
+	n := int(chunkMB * device.MB / avg)
 	if n < 1 {
 		n = 1
 	}

@@ -13,7 +13,6 @@ import (
 	"tango/internal/coordinator"
 	"tango/internal/device"
 	"tango/internal/resil"
-	"tango/internal/staging"
 	"tango/internal/tokenctl"
 	"tango/internal/trace"
 	"tango/internal/weightfn"
@@ -98,32 +97,14 @@ type Config struct {
 	// retrieves less than the bound's rung, regardless of interference.
 	ErrorControl bool
 	// Bound is the prescribed error bound ε_i; it must be one of the
-	// bounds the hierarchy was decomposed with, unless InterpolateBound
-	// is set.
+	// bounds the hierarchy was decomposed with.
 	Bound float64
-	// InterpolateBound accepts a Bound between (or looser than) the
-	// hierarchy's ladder bounds: the mandatory cursor is interpolated
-	// from the accuracy curve the decomposition sweep recorded, instead
-	// of requiring an exact rung. Off by default — exact rungs keep the
-	// retrieval plan identical to the paper's ladder semantics, and the
-	// curve only exists for hierarchies decomposed in this process (it
-	// is not persisted by Encode/Decode).
-	InterpolateBound bool
 
 	// Plot is the augmentation-bandwidth plot (default 30–120 MB/s).
 	Plot abplot.Plot
 
-	// ThreshFrac is the DFT amplitude threshold (default 0.5).
-	ThreshFrac float64
 	// Window is the estimator window in steps (default 30).
 	Window int
-	// SlidingDFT enables the estimator's opt-in sliding-DFT update mode:
-	// each observed step advances the spectrum incrementally in O(Window)
-	// and refits skip the forward transform. Off by default — the
-	// incremental summation order differs from the batch FFT, so fitted
-	// models (and therefore experiment output) are not byte-identical to
-	// the default mode, though still deterministic for a given seed.
-	SlidingDFT bool
 	// RefitEvery re-runs the estimation every this many steps
 	// (default 30).
 	RefitEvery int
@@ -147,22 +128,6 @@ type Config struct {
 	// sequential Algorithm 1 loop; see the ablation-parallel
 	// experiment).
 	ParallelTierReads bool
-
-	// Retry bounds the sequential read path's reaction to transient
-	// read errors (injected by internal/fault): optional augmentation
-	// gets a bounded retry budget per segment and then degrades, while
-	// base and bound-mandated data retry until the fault clears. Zero
-	// values take the staging defaults.
-	Retry staging.RetryPolicy
-
-	// RegimeTol and RegimeRun drive misprediction-triggered refits:
-	// when the relative error between predicted and measured
-	// capacity-tier bandwidth exceeds RegimeTol for RegimeRun
-	// consecutive steps (an interference regime change the periodic
-	// refit has not caught up with), the estimator refits immediately.
-	// Defaults 0.5 and 4; RegimeRun < 0 disables the detector.
-	RegimeTol float64
-	RegimeRun int
 
 	// Trace, when non-nil, receives structured controller events
 	// (steps, weight adjustments, estimator refits).
@@ -202,9 +167,6 @@ func (c Config) withDefaults() Config {
 	if c.Plot == (abplot.Plot{}) {
 		c.Plot = abplot.Default()
 	}
-	if c.ThreshFrac == 0 {
-		c.ThreshFrac = 0.5
-	}
 	if c.Window == 0 {
 		c.Window = 30
 	}
@@ -216,12 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeBytes == 0 {
 		c.ProbeBytes = 4 * device.MB
-	}
-	if c.RegimeTol == 0 {
-		c.RegimeTol = 0.5
-	}
-	if c.RegimeRun == 0 {
-		c.RegimeRun = 4
 	}
 	if c.Policy == CrossLayerPrefetch && c.Cache == nil {
 		cc := cache.DefaultConfig()
@@ -240,14 +196,8 @@ func (c Config) validate() error {
 	if err := c.Plot.Validate(); err != nil {
 		return err
 	}
-	if c.ThreshFrac < 0 || c.ThreshFrac > 1 {
-		return fmt.Errorf("core: ThreshFrac %v out of [0,1]", c.ThreshFrac)
-	}
 	if c.Period <= 0 {
 		return fmt.Errorf("core: Period must be > 0")
-	}
-	if c.RegimeTol <= 0 {
-		return fmt.Errorf("core: RegimeTol must be > 0")
 	}
 	if c.Allocator != nil && c.Tokens != nil {
 		return fmt.Errorf("core: Allocator and Tokens are mutually exclusive weight-control modes")

@@ -64,6 +64,15 @@ func (st StepStats) TimeToBound(bound float64) float64 {
 	return math.NaN()
 }
 
+// Misprediction-triggered refits: when the relative error between
+// predicted and measured capacity-tier bandwidth exceeds regimeTol for
+// regimeRun consecutive steps (an interference regime change the
+// periodic refit has not caught up with), the estimator refits at once.
+const (
+	regimeTol = 0.5
+	regimeRun = 4
+)
+
 // Session runs one data-analytics container under a policy over a staged
 // hierarchy.
 type Session struct {
@@ -102,7 +111,7 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 	}
 	h := store.Hierarchy()
 	if cfg.ErrorControl {
-		if _, err := boundCursor(h, cfg); err != nil {
+		if _, err := h.CursorForBound(cfg.Bound); err != nil {
 			return nil, fmt.Errorf("core: prescribed bound: %w", err)
 		}
 	}
@@ -121,9 +130,7 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 		return nil, err
 	}
 	est := dftestim.NewEstimator()
-	est.ThreshFrac = cfg.ThreshFrac
 	est.Window = cfg.Window
-	est.Sliding = cfg.SlidingDFT
 	return &Session{Name: name, Config: cfg, store: store, wf: wf, wfSize: wfSize, est: est}, nil
 }
 
@@ -194,9 +201,7 @@ func (s *Session) WeightFunc() *weightfn.Func { return s.wf }
 // bound must be one of the hierarchy's ladder bounds; it takes effect at
 // the next step. Must be called from sim context.
 func (s *Session) SetBound(bound float64) error {
-	cfg := s.Config
-	cfg.Bound = bound
-	if _, err := boundCursor(s.store.Hierarchy(), cfg); err != nil {
+	if _, err := s.store.Hierarchy().CursorForBound(bound); err != nil {
 		return err
 	}
 	s.Config.ErrorControl = true
@@ -299,7 +304,7 @@ func (s *Session) launchPrefetcher(node *container.Node) error {
 	cc.SetMandatory(s.mandatoryCursor())
 	s.store.SetCache(cc)
 	s.cache = cc
-	pf := cache.NewPrefetcher(cc, ccfg)
+	pf := cache.NewPrefetcher(cc)
 	pf.Forecast = s.forecast
 	if s.Config.Resil != nil {
 		pf.Resil = s.Config.Resil
@@ -333,9 +338,14 @@ func (s *Session) forecast() (next, peak float64, ok bool) {
 	return s.est.PredictNext(), peak, true
 }
 
+// prefetchLookahead is how many future steps of planned cursors the
+// prefetcher stages for.
+const prefetchLookahead = 2
+
 // prefetchTarget is the global cursor the prefetcher should stage up to:
-// the maximum cursor the controller would plan over the next Lookahead
-// steps, floored by the prescribed bound's rung. Mirrors planCursor.
+// the maximum cursor the controller would plan over the next
+// prefetchLookahead steps, floored by the prescribed bound's rung.
+// Mirrors planCursor.
 func (s *Session) prefetchTarget() int {
 	target := s.mandatoryCursor()
 	if !s.est.Ready() {
@@ -347,11 +357,7 @@ func (s *Session) prefetchTarget() int {
 	if s.Config.Policy.crossLayer() {
 		boost = s.weightBoost()
 	}
-	la := 2
-	if s.Config.Cache != nil && s.Config.Cache.Lookahead > 0 {
-		la = s.Config.Cache.Lookahead
-	}
-	for i := 0; i < la; i++ {
+	for i := 0; i < prefetchLookahead; i++ {
 		deg := s.Config.Plot.Degree(s.est.Predict(n+i) * boost)
 		if cur := h.CursorForFraction(deg); cur > target {
 			target = cur
@@ -360,31 +366,16 @@ func (s *Session) prefetchTarget() int {
 	return target
 }
 
-// mandatoryCursor is the cursor the prescribed bound requires: its
-// rung's, or the curve-interpolated prefix under InterpolateBound.
+// mandatoryCursor is the cursor the prescribed bound's rung requires.
 func (s *Session) mandatoryCursor() int {
 	if !s.Config.ErrorControl {
 		return 0
 	}
-	cur, err := boundCursor(s.store.Hierarchy(), s.Config)
+	cur, err := s.store.Hierarchy().CursorForBound(s.Config.Bound)
 	if err != nil {
 		panic(err) // validated at NewSession / SetBound
 	}
 	return cur
-}
-
-// boundCursor resolves cfg.Bound to a retrieval cursor. An exact ladder
-// rung always wins (same cursors and byte ranges the paper's ladder
-// semantics prescribe); with InterpolateBound, a bound between rungs
-// falls back to the decomposition sweep's accuracy curve, landing
-// between the bracketing rungs instead of snapping up to the tighter
-// one.
-func boundCursor(h *refactor.Hierarchy, cfg Config) (int, error) {
-	cur, err := h.CursorForBound(cfg.Bound)
-	if err == nil || !cfg.InterpolateBound {
-		return cur, err
-	}
-	return h.CursorForAccuracy(cfg.Bound)
 }
 
 // planCursor implements lines 6–7 of Algorithm 1: the augmentation degree
@@ -539,7 +530,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	// Line 1: retrieve the base representation from the fastest tier.
 	// The base is always mandatory, so its guarded read retries through
 	// transient faults rather than failing.
-	baseStats, baseOut := s.store.ReadBaseGuarded(p, c.Cgroup(), cfg.Retry, notify)
+	baseStats, baseOut := s.store.ReadBaseGuarded(p, c.Cgroup(), notify)
 	_, st.BaseTime = baseStats.Total()
 	st.Retries += baseOut.Retries
 	tier.Merge(baseStats)
@@ -561,7 +552,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 			tier.Merge(s.store.ReadRangeParallel(p, c.Cgroup(), b.from, b.to))
 			st.Cursor = b.to
 		} else {
-			ts, out := s.store.ReadRangeGuarded(p, c.Cgroup(), b.from, b.to, mandatory, cfg.Retry, notify)
+			ts, out := s.store.ReadRangeGuarded(p, c.Cgroup(), b.from, b.to, mandatory, notify)
 			tier.Merge(ts)
 			st.Retries += out.Retries
 			st.Cursor = out.Cursor
@@ -662,23 +653,23 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		if err := s.est.Fit(); err != nil {
 			panic(err) // unreachable: sample count checked
 		}
-		cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, cfg.ThreshFrac)
+		cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, s.est.ThreshFrac)
 		refitted = true
 		s.regimeStreak = 0
 	}
 	// Regime-change detection: a model fit against a vanished
 	// interference regime (a collapsed device, churned competitors)
 	// mispredicts persistently until the next periodic refit. When the
-	// relative error stays above RegimeTol for RegimeRun consecutive
+	// relative error stays above regimeTol for regimeRun consecutive
 	// steps, refit now instead of waiting out RefitEvery.
-	if cfg.RegimeRun > 0 && !refitted && st.Predicted > 0 && st.SlowBW > 0 {
+	if !refitted && st.Predicted > 0 && st.SlowBW > 0 {
 		relErr := math.Abs(st.Predicted-st.SlowBW) / math.Max(st.Predicted, st.SlowBW)
-		if relErr > cfg.RegimeTol {
+		if relErr > regimeTol {
 			s.regimeStreak++
 		} else {
 			s.regimeStreak = 0
 		}
-		if s.regimeStreak >= cfg.RegimeRun && s.est.Samples() >= 4 {
+		if s.regimeStreak >= regimeRun && s.est.Samples() >= 4 {
 			if err := s.est.Fit(); err != nil {
 				panic(err) // unreachable: sample count checked
 			}

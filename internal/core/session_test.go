@@ -107,9 +107,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSession("a", st, Config{Steps: 1, Priority: -1}); err == nil {
 		t.Fatal("negative priority accepted")
 	}
-	if _, err := NewSession("a", st, Config{Steps: 1, ThreshFrac: 2}); err == nil {
-		t.Fatal("bad thresh accepted")
-	}
 	if _, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: 0.42}); err == nil {
 		t.Fatal("unknown bound accepted")
 	}
@@ -374,62 +371,5 @@ func TestPolicyStrings(t *testing.T) {
 	}
 	if len(names) != 4 {
 		t.Fatal("policy names collide")
-	}
-}
-
-// TestInterpolateBound checks the curve-interpolated error control: a
-// bound between two ladder rungs is rejected by default, accepted with
-// InterpolateBound, and floors the retrieval at a cursor between the
-// bracketing rungs.
-func TestInterpolateBound(t *testing.T) {
-	h := testHierarchy(t)
-	node := container.NewNode("n-interp")
-	node.MustAddDevice(device.SSD("ssd"))
-	node.MustAddDevice(device.HDD("hdd"))
-	st, err := staging.Stage(h, node.Tiers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0.005 sits between the 0.01 and 0.001 rungs.
-	const target = 0.005
-	if _, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: target}); err == nil {
-		t.Fatal("expected off-ladder bound to be rejected without InterpolateBound")
-	}
-	s, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: target, InterpolateBound: true})
-	if err != nil {
-		t.Fatalf("InterpolateBound session: %v", err)
-	}
-	tightest, err := h.CursorForBound(0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := s.mandatoryCursor()
-	// The interpolated prefix satisfies the target (curve drift allows a
-	// sliver) without snapping all the way up to the tighter rung.
-	if acc := h.Achieved(testField(1), m); acc > target*(1+1e-6) {
-		t.Fatalf("cursor %d achieves %v, wanted <= %v", m, acc, target)
-	}
-	if m > tightest {
-		t.Fatalf("interpolated mandatory cursor %d beyond tightest rung's %d", m, tightest)
-	}
-	// An exact rung still resolves to the rung cursor under the flag.
-	s.Config.Bound = 0.001
-	if got := s.mandatoryCursor(); got != tightest {
-		t.Fatalf("exact rung under InterpolateBound: cursor %d, want %d", got, tightest)
-	}
-	// SetBound accepts an off-ladder bound only with the flag.
-	s2, err := NewSession("b", st, Config{Steps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.SetBound(target); err == nil {
-		t.Fatal("expected SetBound to reject off-ladder bound without InterpolateBound")
-	}
-	s2.Config.InterpolateBound = true
-	if err := s2.SetBound(target); err != nil {
-		t.Fatalf("SetBound with InterpolateBound: %v", err)
-	}
-	if got := s2.mandatoryCursor(); got != m {
-		t.Fatalf("SetBound mandatory cursor %d, want %d", got, m)
 	}
 }

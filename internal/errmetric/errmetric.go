@@ -163,8 +163,8 @@ func (s Stats) Measure(k Kind, x, xhat []float64) float64 {
 }
 
 // FromSSE converts a sum of squared errors over the reference's N points
-// into the metric value, using the same formulas as the free functions —
-// the incremental path of refactor's single-sweep ladder construction.
+// into the metric value, using the same formulas as the free functions;
+// it is the forward map SSEBudget inverts.
 func (s Stats) FromSSE(k Kind, sse float64) float64 {
 	mse := sse / float64(s.N)
 	if k == PSNR {

@@ -243,12 +243,10 @@ func (p *Plan) String() string {
 			if e.Noise.Phase != 0 {
 				add("phase", fmt.Sprintf("%g", e.Noise.Phase))
 			}
-			if e.Noise.Jitter != 0 {
-				add("jitter", fmt.Sprintf("%g", e.Noise.Jitter))
-			}
-			if e.Noise.Seed != 0 {
-				add("seed", fmt.Sprintf("%d", e.Noise.Seed))
-			}
+			// Jitter and seed are always spelled out: omitting a zero
+			// would re-parse as the defaults (0.08, a derived seed).
+			add("jitter", fmt.Sprintf("%g", e.Noise.Jitter))
+			add("seed", fmt.Sprintf("%d", e.Noise.Seed))
 		}
 		if e.Kind.windowed() {
 			add("dur", fmt.Sprintf("%g", e.Duration))

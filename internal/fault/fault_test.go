@@ -43,6 +43,21 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"join@10:name=x,period=60",              // join without mb
 		"leave@10:name=x,bogus=1",               // unknown param
 		"bw-collapse@ten:dev=hdd,factor=0.5,dur=5",
+		// Non-finite numbers and out-of-range seeds.
+		"bw-collapse@10:dev=hdd,factor=NaN,dur=120",
+		"bw-collapse@10:dev=hdd,factor=0.5,dur=Inf",
+		"bw-collapse@+Inf:dev=hdd,factor=0.5,dur=5",
+		"latency@10:dev=hdd,add=-Inf,dur=5",
+		"throttle-reset@10:cg=a,mb=NaN,dur=5",
+		"period@10:name=x,period=Inf",
+		"join@10:name=x,period=NaN,mb=1",
+		"join@10:name=x,period=60,mb=Inf",
+		"join@10:name=x,period=60,mb=1e303", // overflows to +Inf bytes
+		"join@10:name=x,period=60,mb=1,phase=NaN",
+		"join@10:name=x,period=60,mb=1,jitter=Inf",
+		"join@10:name=x,period=60,mb=1,seed=1e300",
+		"join@10:name=x,period=60,mb=1,seed=9223372036854775808",
+		"leave@10:name=x,dur=5", // dur on a non-windowed kind
 	}
 	for _, s := range bad {
 		if _, err := ParsePlan(s); err == nil {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -22,7 +23,8 @@ import (
 //	weight-fail@600:cg=analytics,dur=180; join@1800:name=noise7,period=90,mb=512;
 //	leave@2400:name=noise1; period@3000:name=noise2,period=75
 //
-// Sizes are MB, times and durations seconds; String() round-trips.
+// Sizes are MB, times and durations seconds; every number must be
+// finite, and a join seed is a decimal int64. String() round-trips.
 func ParsePlan(spec string) (*Plan, error) {
 	p := &Plan{}
 	for _, part := range strings.Split(spec, ";") {
@@ -69,6 +71,9 @@ func parseEvent(s string) (Event, error) {
 	if err != nil {
 		return Event{}, fmt.Errorf("fault: bad time in %q: %v", s, err)
 	}
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		return Event{}, fmt.Errorf("fault: time in %q must be finite", s)
+	}
 	ev := Event{At: at, Kind: kind}
 	kv := map[string]string{}
 	for _, pair := range strings.Split(params, ",") {
@@ -92,6 +97,9 @@ func parseEvent(s string) (Event, error) {
 		if err != nil {
 			return 0, false, fmt.Errorf("fault: bad %s in %q: %v", key, s, err)
 		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return 0, false, fmt.Errorf("fault: %s in %q must be finite, got %v", key, s, f)
+		}
 		return f, true, nil
 	}
 	str := func(key string) string {
@@ -113,6 +121,10 @@ func parseEvent(s string) (Event, error) {
 	if d, ok, err := num("dur"); err != nil {
 		return Event{}, err
 	} else if ok {
+		if !kind.windowed() {
+			// String() omits it, so it would not round-trip.
+			return Event{}, fmt.Errorf("fault: %s in %q takes no dur=", kind, s)
+		}
 		ev.Duration = d
 	}
 	factorKey := map[Kind]string{
@@ -140,6 +152,9 @@ func parseEvent(s string) (Event, error) {
 			return Event{}, fmt.Errorf("fault: join in %q needs mb= (err: %v)", s, err)
 		}
 		n.CheckpointBytes = sizeMB * mb
+		if math.IsInf(n.CheckpointBytes, 0) {
+			return Event{}, fmt.Errorf("fault: join mb in %q overflows", s)
+		}
 		if v, ok, err := num("phase"); err != nil {
 			return Event{}, err
 		} else if ok {
@@ -150,10 +165,13 @@ func parseEvent(s string) (Event, error) {
 		} else if ok {
 			n.Jitter = v
 		}
-		if v, ok, err := num("seed"); err != nil {
-			return Event{}, err
-		} else if ok {
-			n.Seed = int64(v)
+		if v, ok := kv["seed"]; ok {
+			delete(kv, "seed")
+			seed, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return Event{}, fmt.Errorf("fault: bad seed in %q (want a decimal int64): %v", s, err)
+			}
+			n.Seed = seed
 		} else {
 			// Deterministic default: derived from the name so the same
 			// spec always drives the same jitter stream.

@@ -11,7 +11,7 @@ import (
 // shape — the end-to-end cost of barriers + parallel windows.
 func BenchmarkFleetEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := New(Config{Nodes: 4, Sessions: 32, Seed: 7, Epochs: 4, WarmEpochs: 1})
+		c, err := New(Config{Nodes: 4, Sessions: 32, Seed: 7, Epochs: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

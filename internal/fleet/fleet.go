@@ -66,11 +66,6 @@ type Config struct {
 	EpochSec float64
 	// Epochs is the number of epochs to run (default 8).
 	Epochs int
-	// WarmEpochs are leading epochs excluded from violation counting and
-	// throughput summaries while L2 warms from the store. Zero means the
-	// default (2, clamped to Epochs-1 on short runs); a negative value
-	// means no warm epochs at all.
-	WarmEpochs int
 	// Store overrides the object-store parameters (zero Name: sized by
 	// objstore.Default(Nodes)).
 	Store objstore.Params
@@ -90,15 +85,6 @@ type Config struct {
 	// internal/tokenctl). The mode survives node kills: a rebuilt node
 	// gets a fresh controller of the same mode.
 	Control tokenctl.Mode
-	// SlidingDFT enables the per-node demand estimators' opt-in
-	// sliding-DFT mode: the spectrum advances incrementally with each
-	// harvested epoch and the forecast refits every epoch (the default
-	// mode fits once and extrapolates). Off by default — the incremental
-	// summation order differs from the batch FFT, so cluster output is
-	// not byte-identical to the default mode, though still deterministic
-	// for a given seed at any -parallel width (the mode survives node
-	// kills: rebuilt nodes inherit it).
-	SlidingDFT bool
 }
 
 func (c Config) withDefaults() Config {
@@ -117,15 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.Epochs == 0 {
 		c.Epochs = 8
 	}
-	switch {
-	case c.WarmEpochs < 0:
-		c.WarmEpochs = 0
-	case c.WarmEpochs == 0:
-		c.WarmEpochs = 2
-		if c.WarmEpochs >= c.Epochs {
-			c.WarmEpochs = c.Epochs - 1
-		}
-	}
 	if c.Store.Name == "" {
 		c.Store = objstore.Default(c.Nodes)
 	}
@@ -136,9 +113,8 @@ func (c Config) validate() error {
 	if c.Nodes < 1 || c.Sessions < 1 {
 		return fmt.Errorf("fleet: need at least one node and one session (%d/%d)", c.Nodes, c.Sessions)
 	}
-	if c.EpochSec <= 0 || c.Epochs < 1 || c.WarmEpochs < 0 || c.WarmEpochs >= c.Epochs {
-		return fmt.Errorf("fleet: bad epoch shape (len %g, %d epochs, %d warm)",
-			c.EpochSec, c.Epochs, c.WarmEpochs)
+	if c.EpochSec <= 0 || c.Epochs < 1 {
+		return fmt.Errorf("fleet: bad epoch shape (len %g, %d epochs)", c.EpochSec, c.Epochs)
 	}
 	return nil
 }
@@ -227,7 +203,11 @@ type node struct {
 // Cluster is an N-node fleet bound to one object store. Construct with
 // New, run with Run; a Cluster is single-use.
 type Cluster struct {
-	cfg   Config
+	cfg Config
+	// warm leading epochs are excluded from violation counting and
+	// throughput summaries while L2 warms from the store: 2, clamped to
+	// Epochs-1 on short runs.
+	warm  int
 	store *objstore.Store
 	nodes []*node
 	sess  []*session
@@ -268,6 +248,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:        cfg,
+		warm:       min(2, cfg.Epochs-1),
 		store:      objstore.New(cfg.Store),
 		rec:        cfg.Trace,
 		killEpoch:  -1,
@@ -312,7 +293,6 @@ func (c *Cluster) buildNode(i int, attach bool) *node {
 		nd.tok.SetResil(nd.rc)
 	}
 	nd.est = dftestim.NewEstimator()
-	nd.est.Sliding = c.cfg.SlidingDFT
 	if c.cfg.Plan != nil && attach {
 		c.armDeviceFaults(nd)
 	}
@@ -373,7 +353,7 @@ func (c *Cluster) Run() (*Report, error) {
 			c.settle(t0)
 		}
 		c.reshare(e, nodeBW)
-		measured := e >= cfg.WarmEpochs
+		measured := e >= c.warm
 		for _, nd := range c.nodes {
 			if nd.alive {
 				c.scheduleSteps(nd, t0, measured)
@@ -693,13 +673,6 @@ func (c *Cluster) harvest(epoch int) {
 			if err := nd.est.Fit(); err != nil {
 				panic(err) // unreachable: sample count checked
 			}
-		} else if c.cfg.SlidingDFT && nd.est.Ready() {
-			// Sliding mode keeps the spectrum current per observation, so
-			// a per-epoch refit is O(Window) and the forecast tracks demand
-			// shifts instead of extrapolating the first fit forever.
-			if err := nd.est.Fit(); err != nil {
-				panic(err) // unreachable: Ready implies enough samples
-			}
 		}
 		bytes += nd.stepBytes
 		c.violTotal += nd.viol
@@ -752,11 +725,11 @@ func (c *Cluster) report() *Report {
 		}
 		return s / float64(len(xs))
 	}
-	r.AggMBps = mean(c.epochMBps[cfg.WarmEpochs:])
-	if c.killEpoch > cfg.WarmEpochs {
+	r.AggMBps = mean(c.epochMBps[c.warm:])
+	if c.killEpoch > c.warm {
 		// A kill at or before the warm-up boundary leaves no measured
 		// pre-kill baseline; RecoveryFrac stays at its default 1.
-		pre := c.epochMBps[cfg.WarmEpochs:c.killEpoch]
+		pre := c.epochMBps[c.warm:c.killEpoch]
 		post := c.epochMBps[c.killEpoch:]
 		if len(pre) > 0 && len(post) > 0 && mean(pre) > 0 {
 			r.RecoveryFrac = mean(post) / mean(pre)

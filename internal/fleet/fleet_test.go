@@ -141,7 +141,7 @@ func TestNodeKillRebalanceAndRecovery(t *testing.T) {
 
 func TestKillDuringWarmupNoPanic(t *testing.T) {
 	// A kill landing at or before the warm-up boundary used to slice
-	// epochMBps[WarmEpochs:killEpoch] with low > high and panic; there is
+	// epochMBps[warm:killEpoch] with low > high and panic; there is
 	// no measured pre-kill baseline, so recovery must default to 1.
 	c, err := New(Config{Nodes: 3, Sessions: 9, Seed: 13,
 		Plan: killPlan(t, "node-kill@0:node=node1,dur=120")})
@@ -189,19 +189,19 @@ func TestShortRunsAndZeroWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Epochs=2 with default warm-up must construct: %v", err)
 	}
-	if c.cfg.WarmEpochs != 1 {
-		t.Fatalf("warm epochs should clamp to Epochs-1, got %d", c.cfg.WarmEpochs)
+	if c.warm != 1 {
+		t.Fatalf("warm epochs should clamp to Epochs-1, got %d", c.warm)
 	}
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// ...and a negative WarmEpochs means no warm epochs at all.
-	c2, err := New(Config{Nodes: 1, Sessions: 2, Seed: 1, Epochs: 1, WarmEpochs: -1})
+	// ...and a single-epoch run has no warm epochs at all.
+	c2, err := New(Config{Nodes: 1, Sessions: 2, Seed: 1, Epochs: 1})
 	if err != nil {
-		t.Fatalf("WarmEpochs=-1 must mean zero warm epochs: %v", err)
+		t.Fatalf("Epochs=1 must construct with zero warm epochs: %v", err)
 	}
-	if c2.cfg.WarmEpochs != 0 {
-		t.Fatalf("WarmEpochs -1 should resolve to 0, got %d", c2.cfg.WarmEpochs)
+	if c2.warm != 0 {
+		t.Fatalf("Epochs=1 should have 0 warm epochs, got %d", c2.warm)
 	}
 	r, err := c2.Run()
 	if err != nil {

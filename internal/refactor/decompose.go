@@ -224,7 +224,6 @@ func (h *Hierarchy) buildLadder(orig *tensor.Tensor) error {
 		return nil
 	}
 	sw := h.runSweep(orig, st)
-	h.curve = sw.curve
 	h.baseAcc = sw.baseAcc
 	pr := newProber(h, st, orig, sw.floors)
 	total := h.TotalEntries()

@@ -99,7 +99,6 @@ type Hierarchy struct {
 	cum       []int     // cumulative entry counts per order position
 	byteCum   [][]int64 // per level: prefix encoded sizes (len+1)
 	rungs     []Rung
-	curve     []CurvePoint // sampled cursor→accuracy curve (sweep.go)
 	baseAcc   float64
 	origLen   int
 }

@@ -376,7 +376,7 @@ func TestHedgeDecisionRule(t *testing.T) {
 	fast2 := device.New(eng2, flatParams("ssd", 1000*1024*1024))
 	slow2 := device.New(eng2, flatParams("hdd", 10*1024*1024))
 	eng2.Spawn("reader", func(p *sim.Proc) {
-		// Below MinBytes the race cannot pay for itself.
+		// Below hedgeMinBytes the race cannot pay for itself.
 		if res := contended.Key(KeyStagingReadHedge).HedgedRead(p, fast2, slow2, blkio.NewCgroup("b"), 1024); res.Hedged {
 			t.Errorf("tiny read must not hedge: %+v", res)
 		}

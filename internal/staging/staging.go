@@ -360,41 +360,21 @@ func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) *
 	return ts
 }
 
-// RetryPolicy bounds the guarded read paths' reaction to transient read
-// errors (see internal/fault): each failed request is retried after a
-// virtual-time backoff that grows by Factor per attempt, capped at Max.
-// Zero values take the defaults.
-type RetryPolicy struct {
-	// Attempts is the retry budget per segment for OPTIONAL augmentation
-	// (beyond the prescribed bound). Exhausting it degrades the read —
-	// the remaining optional augmentation is skipped — instead of
-	// blocking the step (default 4). Mandatory data (the base
-	// representation and augmentation the error bound requires) is
-	// retried indefinitely: degradation must never violate the bound.
-	Attempts int
-	// Backoff is the first retry delay in virtual seconds (default 0.05).
-	Backoff float64
-	// Factor multiplies the delay per attempt (default 2).
-	Factor float64
-	// Max caps the delay (default 5 s).
-	Max float64
-}
-
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.Attempts == 0 {
-		rp.Attempts = 4
-	}
-	if rp.Backoff == 0 {
-		rp.Backoff = 0.05
-	}
-	if rp.Factor == 0 {
-		rp.Factor = 2
-	}
-	if rp.Max == 0 {
-		rp.Max = 5
-	}
-	return rp
-}
+// The guarded read paths' reaction to transient read errors (see
+// internal/fault): each failed request is retried after a virtual-time
+// backoff that starts at retryBackoff and grows by retryFactor per
+// attempt, capped at retryMax. OPTIONAL augmentation (beyond the
+// prescribed bound) gets retryAttempts tries per segment; exhausting
+// them degrades the read — the remaining optional augmentation is
+// skipped — instead of blocking the step. Mandatory data (the base
+// representation and augmentation the error bound requires) is retried
+// indefinitely: degradation must never violate the bound.
+const (
+	retryAttempts = 4
+	retryBackoff  = 0.05 // s
+	retryFactor   = 2
+	retryMax      = 5 // s
+)
 
 // GuardedOutcome reports what a guarded read actually achieved.
 type GuardedOutcome struct {
@@ -409,20 +389,20 @@ type Notify func(kind, msg string)
 
 // retryRead reads bytes from dev, retrying transient errors with
 // exponential virtual-time backoff. If bounded is true the retry budget
-// is pol.Attempts, after which it gives up and reports failure;
+// is retryAttempts, after which it gives up and reports failure;
 // otherwise it retries until the fault clears. Returns the elapsed time
 // (including backoff sleeps), the retries spent, and success.
 func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
-	pol RetryPolicy, bounded bool, notify Notify) (float64, int, bool) {
+	bounded bool, notify Notify) (float64, int, bool) {
 	start := p.Now()
-	delay := pol.Backoff
+	delay := retryBackoff
 	retries := 0
 	for attempt := 1; ; attempt++ {
 		_, err := dev.TryRead(p, cg, bytes)
 		if err == nil {
 			return p.Now() - start, retries, true
 		}
-		if bounded && attempt >= pol.Attempts {
+		if bounded && attempt >= retryAttempts {
 			return p.Now() - start, retries, false
 		}
 		retries++
@@ -430,9 +410,9 @@ func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
 			notify(trace.KindRecover, fmt.Sprintf("retry dev=%s attempt=%d backoff=%.3fs bytes=%.0f", dev.Name(), attempt, delay, bytes))
 		}
 		p.Sleep(delay)
-		delay *= pol.Factor
-		if delay > pol.Max {
-			delay = pol.Max
+		delay *= retryFactor
+		if delay > retryMax {
+			delay = retryMax
 		}
 	}
 }
@@ -440,8 +420,7 @@ func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
 // ReadBaseGuarded is ReadBase with unbounded retry: the base
 // representation is mandatory at every step, so a transient fault delays
 // the read rather than failing it.
-func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, pol RetryPolicy, notify Notify) (*TierStats, GuardedOutcome) {
-	pol = pol.withDefaults()
+func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, notify Notify) (*TierStats, GuardedOutcome) {
 	ts := newTierStats()
 	bytes := float64(s.h.BaseBytes()) * s.scale
 	if s.rc != nil {
@@ -449,7 +428,7 @@ func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, pol RetryPolicy, 
 		ts.add(s.baseDev, res.Moved, res.Elapsed)
 		return ts, GuardedOutcome{Cursor: 0, Retries: res.Retries}
 	}
-	el, retries, _ := retryRead(p, s.baseDev, cg, bytes, pol, false, notify)
+	el, retries, _ := retryRead(p, s.baseDev, cg, bytes, false, notify)
 	ts.add(s.baseDev, bytes, el)
 	return ts, GuardedOutcome{Cursor: 0, Retries: retries}
 }
@@ -457,13 +436,12 @@ func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, pol RetryPolicy, 
 // ReadRangeGuarded is ReadRange hardened against injected read errors.
 // Segments whose entries fall at or below `mandatory` (the cursor the
 // prescribed error bound requires) are retried until they succeed;
-// optional segments get pol.Attempts tries each, after which the read
+// optional segments get retryAttempts tries each, after which the read
 // DEGRADES: the remaining optional augmentation is skipped and the
 // outcome reports the cursor actually reached. The caller's accuracy
 // never drops below the bound — only above-bound augmentation is shed.
 func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int,
-	pol RetryPolicy, notify Notify) (*TierStats, GuardedOutcome) {
-	pol = pol.withDefaults()
+	notify Notify) (*TierStats, GuardedOutcome) {
 	ts := newTierStats()
 	out := GuardedOutcome{Cursor: from}
 	for _, seg := range s.h.Segments(from, to) {
@@ -476,7 +454,7 @@ func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandat
 				retries, ok = s.resilPart(p, cg, ts, part, home, needed)
 			} else {
 				var el float64
-				el, retries, ok = retryRead(p, part.dev, cg, part.bytes, pol, !needed, notify)
+				el, retries, ok = retryRead(p, part.dev, cg, part.bytes, !needed, notify)
 				ts.add(part.dev, part.bytes, el)
 			}
 			out.Retries += retries

@@ -55,7 +55,7 @@ func TestSoloSessionSustainsTarget(t *testing.T) {
 	b := bs["a"]
 	for i := 0; i < 50; i++ {
 		if g := c.Request(b, 400); g != 800 {
-			t.Fatalf("step %d: grant = %d, want 800 (BoostFactor=2 self-funded)", i, g)
+			t.Fatalf("step %d: grant = %d, want 800 (boostFactor=2 self-funded)", i, g)
 		}
 		if b.cg.Weight() != 800 {
 			t.Fatalf("step %d: cgroup weight = %d", i, b.cg.Weight())
@@ -97,9 +97,9 @@ func TestBorrowBoostsStarvedSession(t *testing.T) {
 }
 
 // TestLenderCapRespected: outstanding principal per lender never
-// exceeds LendFrac of its cap, however hard the debtors pull.
+// exceeds lendFrac of its cap, however hard the debtors pull.
 func TestLenderCapRespected(t *testing.T) {
-	c, ck, bs := newTestCtl(t, Options{LendFrac: 0.5}, "a", "b", "lender")
+	c, ck, bs := newTestCtl(t, Options{}, "a", "b", "lender")
 	l := bs["lender"]
 	for i := 0; i < 10; i++ {
 		c.Request(bs["a"], 300)
@@ -108,7 +108,7 @@ func TestLenderCapRespected(t *testing.T) {
 		c.Request(bs["b"], 1000)
 		ck.advance(60)
 	}
-	if maxOut := c.opts.LendFrac * l.cap; l.LentOut() > maxOut+1e-9 {
+	if maxOut := lendFrac * l.cap; l.LentOut() > maxOut+1e-9 {
 		t.Fatalf("lender outstanding %.1f exceeds cap %.1f", l.LentOut(), maxOut)
 	}
 }
@@ -136,7 +136,7 @@ func TestRepaymentPacedToRefill(t *testing.T) {
 		t.Fatalf("after 1s owed = %.1f (was %.1f): want partial, refill-paced repayment", got, owed)
 	}
 	// A long idle drain clears everything.
-	ck.advance(10 * c.opts.RefillSec)
+	ck.advance(10 * refillSec)
 	c.settle(b, ck.t)
 	if got := b.Owed(); got != 0 {
 		t.Fatalf("debt not cleared by drain: %.1f", got)
@@ -190,7 +190,7 @@ func TestLedgerInvariants(t *testing.T) {
 			if b.tokens < -1e-9 || b.tokens > b.cap+1e-9 {
 				t.Fatalf("op %d %s: %s tokens %.3f outside [0, %.1f]", i, op, b.name, b.tokens, b.cap)
 			}
-			if maxOut := c.opts.LendFrac * b.cap; b.lentOut > maxOut+1e-9 {
+			if maxOut := lendFrac * b.cap; b.lentOut > maxOut+1e-9 {
 				t.Fatalf("op %d %s: %s lentOut %.3f > cap %.3f", i, op, b.name, b.lentOut, maxOut)
 			}
 			owed += b.Owed()
@@ -228,7 +228,7 @@ func TestLedgerInvariants(t *testing.T) {
 	for _, n := range names {
 		c.Release(bs[n])
 	}
-	ck.advance(100 * c.opts.RefillSec)
+	ck.advance(100 * refillSec)
 	for _, n := range names {
 		c.settle(bs[n], ck.t)
 	}

@@ -350,8 +350,8 @@ func NewAllocator() *Allocator { return coordinator.New() }
 // alternative to the central Allocator; see docs/tokens.md.
 type TokenController = tokenctl.Controller
 
-// TokenOptions tunes the bucket and borrow-ledger geometry; the zero
-// value selects the defaults documented on each field.
+// TokenOptions selects the token controller's mode: the zero value is
+// pure token mode, EpochSec > 0 hybrid mode.
 type TokenOptions = tokenctl.Options
 
 // TokenBucket is one session's bucket handle, returned by Attach.
